@@ -116,13 +116,6 @@ func main() {
 // trainOrLoad returns a trained model, reusing the cache file when one
 // is given.
 func trainOrLoad(dev *device.Device, path string, seed int64, workers int, quick bool) *core.Model {
-	if path != "" {
-		if m, err := core.LoadModelFile(path); err == nil {
-			fmt.Fprintf(os.Stderr, "loaded trained model from %s\n", path)
-			return m
-		}
-	}
-	fmt.Fprintln(os.Stderr, "training EMSim against the reference device...")
 	topts := core.TrainOptions{Seed: seed, Workers: workers}
 	if quick {
 		topts.Runs = 3
@@ -130,15 +123,9 @@ func trainOrLoad(dev *device.Device, path string, seed int64, workers int, quick
 		topts.MixedPrograms = 2
 		topts.MixedLength = 200
 	}
-	m, err := core.Train(dev, topts)
+	m, err := core.LoadOrTrain(dev, path, topts, os.Stderr)
 	if err != nil {
 		fatal(err)
-	}
-	if path != "" {
-		if err := m.SaveFile(path); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "saved trained model to %s\n", path)
 	}
 	return m
 }

@@ -20,7 +20,6 @@ import (
 	"math/rand"
 	"os"
 	"strings"
-	"time"
 
 	"emsim"
 	"emsim/internal/core"
@@ -69,35 +68,13 @@ func trainOrLoad(dev *emsim.Device, path string, seed int64, needed bool, worker
 	if !needed {
 		return nil
 	}
-	if path != "" {
-		if m, err := core.LoadModelFile(path); err == nil {
-			fmt.Fprintf(os.Stderr, "loaded trained model from %s\n", path)
-			return m
-		}
-	}
-	fmt.Fprintln(os.Stderr, "training EMSim against the reference device...")
 	opts := core.TrainOptions{Seed: seed, Workers: workers}
 	if progress {
-		opts.Progress = func(p core.Progress) {
-			switch {
-			case p.Done == 0:
-				fmt.Fprintf(os.Stderr, "  phase %d/%d %-10s %d measurements...\n",
-					int(p.Phase)+1, core.NumPhases, p.Phase, p.Total)
-			case p.Done == p.Total:
-				fmt.Fprintf(os.Stderr, "  phase %d/%d %-10s done in %s\n",
-					int(p.Phase)+1, core.NumPhases, p.Phase, p.Elapsed.Round(time.Millisecond))
-			}
-		}
+		opts.Progress = core.PrintProgress(os.Stderr)
 	}
-	m, err := core.Train(dev, opts)
+	m, err := core.LoadOrTrain(dev, path, opts, os.Stderr)
 	if err != nil {
 		fatal(err)
-	}
-	if path != "" {
-		if err := m.SaveFile(path); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "saved trained model to %s\n", path)
 	}
 	return m
 }

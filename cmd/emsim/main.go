@@ -86,29 +86,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var model *core.Model
-	if *modelPath != "" {
-		if m, err := core.LoadModelFile(*modelPath); err == nil {
-			fmt.Fprintf(os.Stderr, "loaded trained model from %s\n", *modelPath)
-			model = m
-		}
+	topts := core.TrainOptions{Seed: *seed, Workers: *trainWorkers}
+	if *progress {
+		topts.Progress = core.PrintProgress(os.Stderr)
 	}
-	if model == nil {
-		fmt.Fprintln(os.Stderr, "training EMSim against the reference device...")
-		topts := core.TrainOptions{Seed: *seed, Workers: *trainWorkers}
-		if *progress {
-			topts.Progress = printProgress
-		}
-		model, err = core.Train(dev, topts)
-		if err != nil {
-			fatal(err)
-		}
-		if *modelPath != "" {
-			if err := model.SaveFile(*modelPath); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "saved trained model to %s\n", *modelPath)
-		}
+	model, err := core.LoadOrTrain(dev, *modelPath, topts, os.Stderr)
+	if err != nil {
+		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "kernel: %s theta=%.2f T0=%.3f\n",
 		model.Kernel.Kind, model.Kernel.Theta, model.Kernel.Period)
@@ -187,19 +171,6 @@ func reportDefended(cfg cpu.Config, words []uint32, spec string, seed uint64, ba
 	fmt.Printf("defense %s: %d cycles (overhead %+.1f%%), IPC %.2f, %d injected fetch slots\n",
 		sp, st.Cycles, 100*(float64(st.Cycles)/float64(base.Cycles)-1), st.IPC(), st.Injected)
 	return nil
-}
-
-// printProgress streams training-phase progress to stderr: one line when
-// a phase announces itself, one when its last measurement lands.
-func printProgress(p core.Progress) {
-	switch {
-	case p.Done == 0:
-		fmt.Fprintf(os.Stderr, "  phase %d/%d %-10s %d measurements...\n",
-			int(p.Phase)+1, core.NumPhases, p.Phase, p.Total)
-	case p.Done == p.Total:
-		fmt.Fprintf(os.Stderr, "  phase %d/%d %-10s done in %s\n",
-			int(p.Phase)+1, core.NumPhases, p.Phase, p.Elapsed.Round(time.Millisecond))
-	}
 }
 
 // reportThroughput re-simulates the program through one streaming Session

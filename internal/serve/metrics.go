@@ -86,21 +86,12 @@ type metrics struct {
 	// keyed by the job's endpoint label ("" falls back to "other").
 	reqLatency map[string]*obs.Histogram
 
-	trainsSubmitted *obs.Counter // training jobs accepted
-	trainsActive    *obs.Gauge   // training jobs queued or running
-	trainsDone      *obs.Counter // training jobs that fitted a model
-	trainsFailed    *obs.Counter // training jobs that ended in error
-	trainsCancelled *obs.Counter // training jobs cancelled by the client or drain
+	trains  *jobMetrics // /v1/train jobs
+	defends *jobMetrics // /v1/defend jobs
 
 	// phaseLatency records per-phase training campaign durations, by
 	// core.Phase index.
 	phaseLatency []*obs.Histogram
-
-	defendsSubmitted *obs.Counter // defense-evaluation jobs accepted
-	defendsActive    *obs.Gauge   // defense-evaluation jobs queued or running
-	defendsDone      *obs.Counter // defense-evaluation jobs that produced a report
-	defendsFailed    *obs.Counter // defense-evaluation jobs that ended in error
-	defendsCancelled *obs.Counter // defense-evaluation jobs cancelled by the client or drain
 
 	tvlaTraces   *obs.Counter // traces simulated by /v1/tvla assessments
 	defendTraces *obs.Counter // traces simulated by defense-evaluation campaigns
@@ -109,7 +100,7 @@ type metrics struct {
 	// analysis cost left; simulation dominates the rest of the request.
 	tvlaAnalysis *obs.Histogram
 
-	vars expvar.Map
+	vars *expvar.Map
 }
 
 // endpoints are the request-duration histogram labels; jobs carry one.
@@ -117,6 +108,7 @@ var endpoints = []string{"simulate", "tvla", "savat", "attribute", "other"}
 
 func newMetrics(phases []string) *metrics {
 	reg := obs.NewRegistry()
+	vars := new(expvar.Map)
 	m := &metrics{
 		reg:        reg,
 		queueDepth: reg.Gauge("emsim_queue_depth", "jobs accepted but not yet picked up"),
@@ -126,21 +118,13 @@ func newMetrics(phases []string) *metrics {
 		cancelled:  reg.Counter("emsim_requests_cancelled_total", "jobs that ended with a cancelled context"),
 		cycles:     reg.Counter("emsim_simulated_cycles_total", "total simulated clock cycles"),
 
-		trainsSubmitted: reg.Counter("emsim_train_jobs_submitted_total", "training jobs accepted"),
-		trainsActive:    reg.Gauge("emsim_train_jobs_active", "training jobs queued or running"),
-		trainsDone:      reg.Counter("emsim_train_jobs_total", "finished training jobs by outcome", "state", "done"),
-		trainsFailed:    reg.Counter("emsim_train_jobs_total", "", "state", "failed"),
-		trainsCancelled: reg.Counter("emsim_train_jobs_total", "", "state", "cancelled"),
-
-		defendsSubmitted: reg.Counter("emsim_defend_jobs_submitted_total", "defense-evaluation jobs accepted"),
-		defendsActive:    reg.Gauge("emsim_defend_jobs_active", "defense-evaluation jobs queued or running"),
-		defendsDone:      reg.Counter("emsim_defend_jobs_total", "finished defense-evaluation jobs by outcome", "state", "done"),
-		defendsFailed:    reg.Counter("emsim_defend_jobs_total", "", "state", "failed"),
-		defendsCancelled: reg.Counter("emsim_defend_jobs_total", "", "state", "cancelled"),
+		trains:  newJobMetrics(reg, vars, "train", "training"),
+		defends: newJobMetrics(reg, vars, "defend", "defense-evaluation"),
 
 		tvlaTraces:   reg.Counter("emsim_tvla_traces_total", "traces simulated by /v1/tvla assessments"),
 		defendTraces: reg.Counter("emsim_defend_traces_total", "traces simulated by defense-evaluation campaigns"),
 		tvlaAnalysis: reg.Histogram("emsim_tvla_analysis_seconds", "statistic-extraction time of a /v1/tvla assessment", nil),
+		vars:         vars,
 	}
 	m.reqLatency = make(map[string]*obs.Histogram, len(endpoints))
 	help := "request execution time on a worker, by endpoint"
@@ -157,10 +141,6 @@ func newMetrics(phases []string) *metrics {
 
 	// The /varz bridge: identical JSON keys to the pre-registry expvar
 	// era, read through the registry handles.
-	intVar := func(v interface{ Value() int64 }) expvar.Func {
-		return func() any { return v.Value() }
-	}
-	m.vars.Init()
 	m.vars.Set("queue_depth", intVar(m.queueDepth))
 	m.vars.Set("in_flight", intVar(m.inFlight))
 	m.vars.Set("requests_accepted", intVar(m.requests))
@@ -168,16 +148,6 @@ func newMetrics(phases []string) *metrics {
 	m.vars.Set("requests_cancelled", intVar(m.cancelled))
 	m.vars.Set("cycles_simulated", intVar(m.cycles))
 	m.vars.Set("latency", expvar.Func(func() any { return m.latency.summary() }))
-	m.vars.Set("trains_submitted", intVar(m.trainsSubmitted))
-	m.vars.Set("trains_active", intVar(m.trainsActive))
-	m.vars.Set("trains_done", intVar(m.trainsDone))
-	m.vars.Set("trains_failed", intVar(m.trainsFailed))
-	m.vars.Set("trains_cancelled", intVar(m.trainsCancelled))
-	m.vars.Set("defends_submitted", intVar(m.defendsSubmitted))
-	m.vars.Set("defends_active", intVar(m.defendsActive))
-	m.vars.Set("defends_done", intVar(m.defendsDone))
-	m.vars.Set("defends_failed", intVar(m.defendsFailed))
-	m.vars.Set("defends_cancelled", intVar(m.defendsCancelled))
 	m.vars.Set("tvla_traces", intVar(m.tvlaTraces))
 	m.vars.Set("defend_traces", intVar(m.defendTraces))
 	return m
@@ -206,4 +176,37 @@ func (m *metrics) writePrometheus(w io.Writer) error { return m.reg.WritePrometh
 
 // Vars exposes the metrics map so cmd/emsim-serve can publish it in the
 // process-global expvar namespace.
-func (m *metrics) Vars() *expvar.Map { return &m.vars }
+func (m *metrics) Vars() *expvar.Map { return m.vars }
+
+// intVar bridges a registry counter or gauge into /varz.
+func intVar(v interface{ Value() int64 }) expvar.Func {
+	return func() any { return v.Value() }
+}
+
+// jobMetrics counts one kind of background job.
+type jobMetrics struct {
+	submitted *obs.Counter            // jobs accepted
+	active    *obs.Gauge              // jobs queued or running
+	finished  map[string]*obs.Counter // finished jobs, by final state
+}
+
+// newJobMetrics registers one job kind's series: emsim_<kind>_jobs_* in
+// Prometheus, with HELP text naming the jobs as what, and <kind>s_* in
+// /varz.
+func newJobMetrics(reg *obs.Registry, vars *expvar.Map, kind, what string) *jobMetrics {
+	name, stem := "emsim_"+kind+"_jobs_", kind+"s_"
+	jm := &jobMetrics{
+		submitted: reg.Counter(name+"submitted_total", what+" jobs accepted"),
+		active:    reg.Gauge(name+"active", what+" jobs queued or running"),
+		finished:  map[string]*obs.Counter{},
+	}
+	vars.Set(stem+"submitted", intVar(jm.submitted))
+	vars.Set(stem+"active", intVar(jm.active))
+	help := "finished " + what + " jobs by outcome"
+	for _, state := range []string{jobDone, jobFailed, jobCancelled} {
+		jm.finished[state] = reg.Counter(name+"total", help, "state", state)
+		vars.Set(stem+state, intVar(jm.finished[state]))
+		help = ""
+	}
+	return jm
+}

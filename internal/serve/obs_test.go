@@ -197,8 +197,8 @@ func TestTrainCancelMidPhaseDrains(t *testing.T) {
 	if st.State != trainCancelled {
 		t.Fatalf("job ended %q, want cancelled", st.State)
 	}
-	waitVar(t, s, s.met.trainsActive.Value, 0, "trains_active")
-	if got := s.met.trainsCancelled.Value(); got != 1 {
+	waitVar(t, s, s.met.trains.active.Value, 0, "trains_active")
+	if got := s.met.trains.finished[jobCancelled].Value(); got != 1 {
 		t.Errorf("trains_cancelled = %d, want 1", got)
 	}
 

@@ -19,30 +19,32 @@ func TestTrainObserveMonotonic(t *testing.T) {
 	// Campaign workers deliver completion counts out of order; a stale
 	// count must not wind the visible counter backwards, while a new
 	// phase resets it.
-	j := &trainJob{id: "train-1", state: trainRunning}
-	j.observe(core.Progress{Phase: core.PhaseKernel, Done: 2, Total: 5})
-	j.observe(core.Progress{Phase: core.PhaseKernel, Done: 1, Total: 5})
-	if st := j.status(false); st.Done != 2 {
+	j := &asyncJob[trainProgress]{id: "train-1", state: jobRunning}
+	status := func() trainStatus { return trainWire(j.view(false)).(trainStatus) }
+	observeTrain(j, core.Progress{Phase: core.PhaseKernel, Done: 2, Total: 5})
+	observeTrain(j, core.Progress{Phase: core.PhaseKernel, Done: 1, Total: 5})
+	if st := status(); st.Done != 2 {
 		t.Errorf("stale event moved the counter: Done = %d, want 2", st.Done)
 	}
-	j.observe(core.Progress{Phase: core.PhaseBaseline, Done: 0, Total: 7})
-	st := j.status(false)
+	observeTrain(j, core.Progress{Phase: core.PhaseBaseline, Done: 0, Total: 7})
+	st := status()
 	if st.Phase != core.PhaseBaseline.String() || st.Done != 0 || st.Total != 7 {
 		t.Errorf("phase change not applied: %+v", st)
 	}
 }
 
 func TestDefendObserveMonotonic(t *testing.T) {
-	j := &defendJob{id: "defend-1", state: defendRunning, armDone: map[string]int{}}
-	j.observe("baseline", 3, 10)
-	j.observe("baseline", 2, 10)
-	if st := j.status(false); st.Done != 3 {
-		t.Errorf("stale event moved the counter: Done = %d, want 3", st.Done)
+	j := &asyncJob[defendProgress]{id: "defend-1", state: jobRunning}
+	status := func() defendStatus { return defendWire(j.view(false)).(defendStatus) }
+	reported := observeDefend(j, "baseline", 3, 10)
+	reported += observeDefend(j, "baseline", 2, 10)
+	if st := status(); st.Done != 3 || reported != 3 {
+		t.Errorf("stale event moved the counter: Done = %d, reported %d, want 3", st.Done, reported)
 	}
-	j.observe("shuffle", 1, 10)
-	st := j.status(false)
-	if st.Arm != "shuffle" || st.Done != 4 || st.Total != 20 {
-		t.Errorf("arm change not accumulated: %+v", st)
+	reported += observeDefend(j, "shuffle", 1, 10)
+	st := status()
+	if st.Arm != "shuffle" || st.Done != 4 || st.Total != 20 || reported != 4 {
+		t.Errorf("arm change not accumulated: %+v (reported %d)", st, reported)
 	}
 }
 
@@ -55,13 +57,13 @@ func (e statusErr) Error() string {
 	return "boom"
 }
 
-func TestTrainFinishRendersErrorOutsideLock(t *testing.T) {
-	// finish must render err.Error() before taking the job lock; an
-	// error that re-enters status() deadlocked under the old ordering.
-	j := &trainJob{id: "train-1", state: trainRunning}
+// finishOutsideLock records err on a running job whose error renders by
+// taking the job's own snapshot, failing the test if finish deadlocks.
+func finishOutsideLock[P any](t *testing.T, j *asyncJob[P], status func()) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
-		j.finish(nil, statusErr{status: func() { j.status(false) }})
+		j.finish(nil, statusErr{status: status})
 		close(done)
 	}()
 	select {
@@ -69,24 +71,24 @@ func TestTrainFinishRendersErrorOutsideLock(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("finish deadlocked rendering the error under the job lock")
 	}
-	if st := j.status(false); st.State != trainFailed || st.Error != "boom" {
+}
+
+func TestTrainFinishRendersErrorOutsideLock(t *testing.T) {
+	// finish must render err.Error() before taking the job lock; an
+	// error that re-enters status() deadlocked under the old ordering.
+	j := &asyncJob[trainProgress]{id: "train-1", state: jobRunning}
+	status := func() trainStatus { return trainWire(j.view(false)).(trainStatus) }
+	finishOutsideLock(t, j, func() { status() })
+	if st := status(); st.State != jobFailed || st.Error != "boom" {
 		t.Errorf("finish recorded %+v, want failed/boom", st)
 	}
 }
 
 func TestDefendFinishRendersErrorOutsideLock(t *testing.T) {
-	j := &defendJob{id: "defend-1", state: defendRunning, armDone: map[string]int{}}
-	done := make(chan struct{})
-	go func() {
-		j.finish(nil, statusErr{status: func() { j.status(false) }})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("finish deadlocked rendering the error under the job lock")
-	}
-	if st := j.status(false); st.State != defendFailed || st.Error != "boom" {
+	j := &asyncJob[defendProgress]{id: "defend-1", state: jobRunning}
+	status := func() defendStatus { return defendWire(j.view(false)).(defendStatus) }
+	finishOutsideLock(t, j, func() { status() })
+	if st := status(); st.State != jobFailed || st.Error != "boom" {
 		t.Errorf("finish recorded %+v, want failed/boom", st)
 	}
 }
@@ -96,22 +98,15 @@ func TestDrainCancelsOutsideRegistryLock(t *testing.T) {
 	// funcs outside it. A cancel that re-enters the registry (context
 	// machinery running arbitrary callbacks) deadlocked under the old
 	// ordering.
-	tr := newTrainRegistry(context.Background(), 1, newMetrics(nil))
-	jt := &trainJob{id: "train-1", state: trainQueued}
-	jt.cancel = func() { tr.get(jt.id) }
-	tr.jobs[jt.id] = jt
-	tr.order = append(tr.order, jt.id)
-
-	dr := newDefendRegistry(context.Background(), 1, newMetrics(nil))
-	jd := &defendJob{id: "defend-1", state: defendQueued, armDone: map[string]int{}}
-	jd.cancel = func() { dr.get(jd.id) }
-	dr.jobs[jd.id] = jd
-	dr.order = append(dr.order, jd.id)
+	r := newStubRegistry(context.Background(), 1)
+	j := &asyncJob[struct{}]{id: "stub-1", state: jobQueued}
+	j.cancel = func() { r.get(j.id) }
+	r.jobs[j.id] = j
+	r.order = append(r.order, j.id)
 
 	done := make(chan struct{})
 	go func() {
-		tr.drain()
-		dr.drain()
+		r.drain()
 		close(done)
 	}()
 	select {

@@ -132,13 +132,14 @@ func (c Config) withDefaults() Config {
 // Handler on an http.Server, and Close it (after http.Server.Shutdown)
 // to drain the worker pool.
 type Server struct {
-	model   *core.Model
-	cfg     Config
-	sched   *scheduler
-	met     *metrics
-	trains  *trainRegistry
-	defends *defendRegistry
-	mux     *http.ServeMux
+	model      *core.Model
+	cfg        Config
+	sched      *scheduler
+	met        *metrics
+	trains     *registry[trainProgress]
+	defends    *registry[defendProgress]
+	trainCache *core.MeasurementCache // shared by every /v1/train campaign
+	mux        *http.ServeMux
 }
 
 // New builds the service: the session pool spins up eagerly so an
@@ -154,19 +155,19 @@ func New(m *core.Model, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s := &Server{model: m, cfg: cfg, sched: sched, met: met}
-	s.trains = newTrainRegistry(cfg.BaseContext, cfg.MaxTrainJobs, met)
-	s.defends = newDefendRegistry(cfg.BaseContext, cfg.MaxDefendJobs, met)
-	met.vars.Set("train_cache", expvar.Func(func() any { return s.trains.cacheStats() }))
+	s := &Server{model: m, cfg: cfg, sched: sched, met: met, trainCache: core.NewMeasurementCache()}
+	s.trains = newRegistry("train", "training", spanTrainJob, cfg.BaseContext, cfg.MaxTrainJobs, met.trains, trainWire)
+	s.defends = newRegistry("defend", "defense", spanDefendJob, cfg.BaseContext, cfg.MaxDefendJobs, met.defends, defendWire)
+	met.vars.Set("train_cache", expvar.Func(func() any { return s.trainCache.Stats() }))
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("POST /v1/tvla", s.handleTVLA)
 	s.mux.HandleFunc("POST /v1/train", s.handleTrainSubmit)
-	s.mux.HandleFunc("GET /v1/train/{id}", s.handleTrainStatus)
-	s.mux.HandleFunc("DELETE /v1/train/{id}", s.handleTrainCancel)
+	s.mux.HandleFunc("GET /v1/train/{id}", s.trains.handleStatus)
+	s.mux.HandleFunc("DELETE /v1/train/{id}", s.trains.handleCancel)
 	s.mux.HandleFunc("POST /v1/defend", s.handleDefendSubmit)
-	s.mux.HandleFunc("GET /v1/defend/{id}", s.handleDefendStatus)
-	s.mux.HandleFunc("DELETE /v1/defend/{id}", s.handleDefendCancel)
+	s.mux.HandleFunc("GET /v1/defend/{id}", s.defends.handleStatus)
+	s.mux.HandleFunc("DELETE /v1/defend/{id}", s.defends.handleCancel)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /varz", s.handleVarz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)

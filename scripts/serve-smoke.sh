@@ -80,6 +80,33 @@ done
 [ "$STATE" = "cancelled" ] || { echo "cancelled job reports state '$STATE'" >&2; exit 1; }
 curl -fsS "$BASE/varz" | grep -q '"trains_cancelled": 1' || { echo "varz missing train metrics" >&2; exit 1; }
 
+echo "== defend job lifecycle (submit, poll to done)"
+DEFEND='{"defense":"dummy:rate=0.2","seed":3,"tvla_traces":4,"cpa_traces":12,"cpa_step":12,"cpa_points":32}'
+RESP=$(curl -fsS -X POST -d "$DEFEND" "$BASE/v1/defend")
+JOB=$(echo "$RESP" | sed -n 's/.*"job_id":"\([^"]*\)".*/\1/p')
+[ -n "$JOB" ] || { echo "no job_id in submit response: $RESP" >&2; exit 1; }
+STATE=""
+for i in $(seq 1 240); do
+  RESP=$(curl -fsS "$BASE/v1/defend/$JOB")
+  STATE=$(echo "$RESP" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
+  case "$STATE" in queued|running) sleep 0.5 ;; *) break ;; esac
+done
+[ "$STATE" = "done" ] || { echo "defend job ended in state '$STATE': $RESP" >&2; exit 1; }
+echo "$RESP" | grep -q '"report":' || { echo "done job carries no report: $RESP" >&2; exit 1; }
+
+echo "== defend job cancellation"
+RESP=$(curl -fsS -X POST -d '{"defense":"jitter:rate=0.3,region=16","tvla_traces":64,"cpa_traces":512}' "$BASE/v1/defend")
+JOB=$(echo "$RESP" | sed -n 's/.*"job_id":"\([^"]*\)".*/\1/p')
+[ -n "$JOB" ] || { echo "no job_id in submit response: $RESP" >&2; exit 1; }
+curl -fsS -X DELETE "$BASE/v1/defend/$JOB" >/dev/null
+STATE=""
+for i in $(seq 1 60); do
+  STATE=$(curl -fsS "$BASE/v1/defend/$JOB" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
+  case "$STATE" in queued|running) sleep 0.5 ;; *) break ;; esac
+done
+[ "$STATE" = "cancelled" ] || { echo "cancelled job reports state '$STATE'" >&2; exit 1; }
+curl -fsS "$BASE/varz" | grep -q '"defends_cancelled": 1' || { echo "varz missing defend metrics" >&2; exit 1; }
+
 echo "== validation statuses"
 CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '{"asm": "nop"' "$BASE/v1/simulate")
 [ "$CODE" = "400" ] || { echo "malformed JSON returned $CODE, want 400" >&2; exit 1; }
