@@ -392,6 +392,9 @@ func TestStageActivityContribution(t *testing.T) {
 		Coef:       []float64{0.5, -0.25},
 		Candidates: 64,
 	}
+	if err := am.buildIndex(cpu.IF); err != nil {
+		t.Fatal(err)
+	}
 	st := &cpu.StageTrace{}
 	st.Flip[0] = 1      // bit 0 set
 	st.Flip[1] = 1 << 1 // bit 33 set
@@ -506,6 +509,20 @@ func TestLoadModelRejectsBadInput(t *testing.T) {
 		"Activity":[{"Selected":[9999],"Coef":[1]},{},{},{},{}]}}`
 	if _, err := LoadModel(strings.NewReader(bad)); err == nil {
 		t.Error("out-of-range activity bit accepted")
+	}
+	dup := `{"version":1,"model":{"SamplesPerCycle":16,
+		"Kernel":{"Kind":2,"Theta":2,"Period":0.25,"SupportCycles":3},
+		"Activity":[{},{},{"Selected":[7,40,7],"Coef":[1,2,3]},{},{}]}}`
+	if _, err := LoadModel(strings.NewReader(dup)); err == nil {
+		t.Error("repeated activity bit accepted")
+	}
+	// JSON has no NaN or infinity; an overflowing literal is the closest
+	// a file gets, and it must fail as a decode error.
+	inf := `{"version":1,"model":{"SamplesPerCycle":16,
+		"Kernel":{"Kind":2,"Theta":2,"Period":0.25,"SupportCycles":3},
+		"Activity":[{"Selected":[3],"Coef":[1e999]},{},{},{},{}]}}`
+	if _, err := LoadModel(strings.NewReader(inf)); err == nil {
+		t.Error("overflowing activity coefficient accepted")
 	}
 	if _, err := LoadModelFile("/nonexistent/model.json"); err == nil {
 		t.Error("missing file accepted")

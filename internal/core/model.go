@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"emsim/internal/cpu"
 	"emsim/internal/isa"
@@ -116,12 +117,47 @@ func AmpKeyName(k int) string {
 // StageActivityModel is one pipeline stage's fitted data-activity term.
 type StageActivityModel struct {
 	// Selected and Coef describe the stepwise-LR variant: the chosen
-	// transition-bit indices and their weights.
+	// transition-bit indices, in selection order, and their weights.
 	Selected []int
 	Coef     []float64
 	// Candidates is the total number of candidate bits (for the pruning
 	// ratio the paper reports).
 	Candidates int
+
+	// The evaluation index, built by buildIndex wherever a model is
+	// produced (the trainer's activity fit, LoadModel) and never
+	// serialized: mask marks each latch word's selected bits, rank maps
+	// a bit to its position in Selected, and indexed is the Selected
+	// length the index was built for.
+	mask    [cpu.MaxLatchWords]uint32
+	rank    [cpu.MaxLatchWords * 32]uint8
+	indexed int
+}
+
+// buildIndex validates the stage's Selected/Coef lists against stage
+// s's latch width and builds the evaluation index contribution reads.
+// A bit may be selected at most once: the index maps each bit to one
+// rank (stepwise selection never picks a bit twice).
+func (m *StageActivityModel) buildIndex(s cpu.Stage) error {
+	if len(m.Selected) != len(m.Coef) {
+		return fmt.Errorf("core: stage %v activity model: %d bits vs %d coefficients",
+			s, len(m.Selected), len(m.Coef))
+	}
+	var mask [cpu.MaxLatchWords]uint32
+	var rank [cpu.MaxLatchWords * 32]uint8
+	for r, bit := range m.Selected {
+		if bit < 0 || bit >= cpu.FeatureBits(s) {
+			return fmt.Errorf("core: stage %v activity bit %d out of range", s, bit)
+		}
+		w, b := bit/32, uint(bit)%32
+		if mask[w]>>b&1 == 1 {
+			return fmt.Errorf("core: stage %v activity bit %d selected twice", s, bit)
+		}
+		mask[w] |= 1 << b
+		rank[bit] = uint8(r)
+	}
+	m.mask, m.rank, m.indexed = mask, rank, len(m.Selected)
+	return nil
 }
 
 // PrunedFraction returns the share of candidate transition bits the
@@ -134,13 +170,31 @@ func (m *StageActivityModel) PrunedFraction() float64 {
 }
 
 // contribution evaluates the stage's fitted (stepwise-LR) data-activity
-// term for one cycle.
+// term for one cycle. It visits only the flipped selected bits, then
+// sums their coefficients in Selected order — the order of the plain
+// loop over Selected, so the floating-point result is bit-identical to
+// it. A stage has at most 96 bits, so two words hold the hit ranks.
 func (m *StageActivityModel) contribution(st *cpu.StageTrace) float64 {
-	s := 0.0
-	for i, bit := range m.Selected {
-		if st.FlipBit(bit) {
-			s += m.Coef[i]
+	if m.indexed != len(m.Selected) {
+		panic("core: stage activity model evaluated without its index")
+	}
+	var lo, hi uint64 // hit ranks 0-63 and 64-95
+	for w, mask := range m.mask {
+		for f := st.Flip[w] & mask; f != 0; f &= f - 1 {
+			r := m.rank[32*w+bits.TrailingZeros32(f)]
+			if r < 64 {
+				lo |= 1 << r
+			} else {
+				hi |= 1 << (r - 64)
+			}
 		}
+	}
+	s := 0.0
+	for ; lo != 0; lo &= lo - 1 {
+		s += m.Coef[bits.TrailingZeros64(lo)]
+	}
+	for ; hi != 0; hi &= hi - 1 {
+		s += m.Coef[64+bits.TrailingZeros64(hi)]
 	}
 	return s
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -80,25 +81,43 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: model file has no model")
 	}
-	if m.SamplesPerCycle < 1 {
-		return nil, fmt.Errorf("core: loaded model has invalid SamplesPerCycle %d", m.SamplesPerCycle)
-	}
-	if _, err := m.Kernel.Taps(m.SamplesPerCycle); err != nil {
-		return nil, fmt.Errorf("core: loaded model has an unusable kernel: %w", err)
-	}
-	for s := cpu.Stage(0); s < cpu.NumStages; s++ {
-		am := &m.Activity[s]
-		if len(am.Selected) != len(am.Coef) {
-			return nil, fmt.Errorf("core: stage %v activity model: %d bits vs %d coefficients",
-				s, len(am.Selected), len(am.Coef))
-		}
-		for _, bit := range am.Selected {
-			if bit < 0 || bit >= cpu.FeatureBits(s) {
-				return nil, fmt.Errorf("core: stage %v activity bit %d out of range", s, bit)
-			}
-		}
+	if err := m.validate(); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// validate checks a decoded model's invariants and builds each stage's
+// activity index, so a loaded model is ready to simulate.
+func (m *Model) validate() error {
+	if m.SamplesPerCycle < 1 {
+		return fmt.Errorf("core: loaded model has invalid SamplesPerCycle %d", m.SamplesPerCycle)
+	}
+	if _, err := m.Kernel.Taps(m.SamplesPerCycle); err != nil {
+		return fmt.Errorf("core: loaded model has an unusable kernel: %w", err)
+	}
+	scalars := []float64{m.Background, m.MISOIntercept, m.SingleM, m.SingleIntercept}
+	scalars = append(scalars, m.MISO[:]...)
+	for k := range m.Amp {
+		scalars = append(scalars, m.Amp[k][:]...)
+	}
+	if m.Beta != nil {
+		scalars = append(scalars, m.Beta[:]...)
+	}
+	for s := cpu.Stage(0); s < cpu.NumStages; s++ {
+		scalars = append(scalars, m.Activity[s].Coef...)
+	}
+	for _, v := range scalars {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: loaded model has a non-finite parameter %v", v)
+		}
+	}
+	for s := cpu.Stage(0); s < cpu.NumStages; s++ {
+		if err := m.Activity[s].buildIndex(s); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // LoadModelFile reads a model from path.

@@ -77,6 +77,12 @@ func TestLoadOrTrainRejectsBadFile(t *testing.T) {
 		"garbage":   "\x00not a model at all",
 		"truncated": `{"version": 1, "model": {"SamplesPerCycle": 4`,
 		"version 2": `{"version": 2, "model": {}}`,
+		"repeated activity bit": `{"version": 1, "model": {"SamplesPerCycle": 16,
+			"Kernel": {"Kind": 2, "Theta": 2, "Period": 0.25, "SupportCycles": 3},
+			"Activity": [{"Selected": [5, 5], "Coef": [1, 1]}, {}, {}, {}, {}]}}`,
+		"overflowing intercept": `{"version": 1, "model": {"SamplesPerCycle": 16,
+			"Kernel": {"Kind": 2, "Theta": 2, "Period": 0.25, "SupportCycles": 3},
+			"MISOIntercept": -1e400}}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "model.json")

@@ -251,6 +251,11 @@ func (t *Trainer) fitActivity(m *Model, meas []*measurement) error {
 			}
 		}
 	}
+	for s := cpu.Stage(0); s < cpu.NumStages; s++ {
+		if err := m.Activity[s].buildIndex(s); err != nil {
+			return err
+		}
+	}
 	// The stepwise intercept folds into the background.
 	m.Background += sw.Model.Intercept
 	m.MISOIntercept = m.Background

@@ -2,6 +2,8 @@ package defend
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"emsim/internal/aes"
@@ -73,5 +75,34 @@ func TestDefendedSimulateSteadyStateAllocs(t *testing.T) {
 				t.Errorf("defended trace allocates %.1f times per run, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestAddNoiseReseedsWithoutAllocating pins the per-trace noise step:
+// reseeding a worker's generator allocates nothing and reproduces, bit
+// for bit, the stream of a generator freshly built from the same seed.
+func TestAddNoiseReseedsWithoutAllocating(t *testing.T) {
+	const seed, std = 7, 0.3
+	rng := rand.New(rand.NewSource(0))
+	sig := make([]float64, 64)
+	for i := 0; i < 4; i++ {
+		for k := range sig {
+			sig[k] = float64(k)
+		}
+		addNoise(rng, sig, std, seed, i)
+		fresh := rand.New(rand.NewSource(int64(stream(seed, laneNoise, int64(i)))))
+		for k := range sig {
+			if want := float64(k) + std*fresh.NormFloat64(); math.Float64bits(sig[k]) != math.Float64bits(want) {
+				t.Fatalf("trace %d sample %d: %v, want %v", i, k, sig[k], want)
+			}
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		addNoise(rng, sig, std, seed, i)
+		i++
+	})
+	if allocs > 0 {
+		t.Errorf("addNoise allocates %.1f times per run, want 0", allocs)
 	}
 }

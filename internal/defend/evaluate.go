@@ -424,6 +424,18 @@ func cpaHypothesisRow(pt byte, row []float64) {
 	}
 }
 
+// addNoise adds trace i's measurement noise to sig: std times the
+// normal stream seeded with stream(seed, laneNoise, i). Reseeding the
+// worker's one generator yields exactly the stream a fresh
+// rand.New(rand.NewSource(...)) would, without allocating a ~5 KB
+// source per trace.
+func addNoise(rng *rand.Rand, sig []float64, std float64, seed int64, i int) {
+	rng.Seed(int64(stream(seed, laneNoise, int64(i))))
+	for k := range sig {
+		sig[k] += std * rng.NormFloat64()
+	}
+}
+
 // traceOut is one simulated trace crossing from a worker to the
 // consumer: the amplitude vector (noise added, owned by the receiver)
 // plus the run's cycle and injected-slot counts, or the simulation
@@ -486,6 +498,7 @@ func streamTraces(ctx context.Context, opts Options, spec Spec, seed int64, prog
 			}
 			traceLane := obs.NextLane()
 			var buf []float64
+			noise := rand.New(rand.NewSource(0))
 			for i := w; i < n; i += workers {
 				if runCtx.Err() != nil {
 					return
@@ -497,10 +510,7 @@ func streamTraces(ctx context.Context, opts Options, spec Spec, seed int64, prog
 					out <- traceOut{err: rerr}
 					continue
 				}
-				noise := rand.New(rand.NewSource(int64(stream(seed, laneNoise, int64(i)))))
-				for k := range sig {
-					sig[k] += opts.NoiseStd * noise.NormFloat64()
-				}
+				addNoise(noise, sig, opts.NoiseStd, seed, i)
 				amp, aerr := core.ExtractAmplitudes(sig, opts.Model.SamplesPerCycle, opts.Model.Kernel)
 				buf = sig[:0]
 				obs.End(spanTrace, traceLane)

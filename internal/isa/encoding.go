@@ -176,11 +176,16 @@ func MustEncode(i Inst) uint32 {
 	return w
 }
 
-// rTypeOps lists the OP-major-opcode mnemonics TryDecode matches by
-// funct3/funct7 (hoisted to package level: a slice literal in the
-// decoder would be rebuilt on every fetched word).
-var rTypeOps = [...]Op{ADD, SUB, SLL, SLT, SLTU, XOR, SRL, SRA, OR, AND,
-	MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU}
+// R-type decode tables: one funct3-indexed table per funct7 the ISA
+// defines for the OP major opcode (base, alternate, M extension). Empty
+// slots hold OpInvalid, so TryDecode rejects them exactly as it rejects
+// every other funct7; the tables mirror encTable's OP rows, which
+// TestRTypeTablesMatchEncTable checks word by word.
+var (
+	rTypeBase = [8]Op{ADD, SLL, SLT, SLTU, XOR, SRL, OR, AND}
+	rTypeAlt  = [8]Op{0b000: SUB, 0b101: SRA}
+	rTypeMul  = [8]Op{MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU}
+)
 
 //emsim:noalloc
 func signExtend(v uint32, bits uint) int32 {
@@ -339,13 +344,19 @@ func TryDecode(word uint32) (Inst, bool) {
 			return Inst{}, false
 		}
 	case opcOp:
-		for _, op := range rTypeOps {
-			e := encTable[op]
-			if e.funct3 == funct3 && e.funct7 == funct7 {
-				return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, true
-			}
+		var op Op
+		switch funct7 {
+		case 0b0000000:
+			op = rTypeBase[funct3]
+		case 0b0100000:
+			op = rTypeAlt[funct3]
+		case 0b0000001:
+			op = rTypeMul[funct3]
 		}
-		return Inst{}, false
+		if op == OpInvalid {
+			return Inst{}, false
+		}
+		return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, true
 	case opcMisc:
 		// Only the canonical FENCE word is accepted: the simulator treats
 		// every fence as a full fence, never emits ordering-hint bits, and

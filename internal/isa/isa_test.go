@@ -119,6 +119,40 @@ func TestEncodeErrors(t *testing.T) {
 	}
 }
 
+// TestRTypeTablesMatchEncTable decodes every funct3/funct7 combination
+// of the OP major opcode and checks the table-driven decoder against a
+// scan of encTable's OP rows: the same mnemonic where a row matches,
+// rejection everywhere else.
+func TestRTypeTablesMatchEncTable(t *testing.T) {
+	const rd, rs1, rs2 = T0, T1, T2
+	valid := 0
+	for funct7 := uint32(0); funct7 < 128; funct7++ {
+		for funct3 := uint32(0); funct3 < 8; funct3++ {
+			word := funct7<<25 | uint32(rs2)<<20 | uint32(rs1)<<15 | funct3<<12 | uint32(rd)<<7 | opcOp
+			want := OpInvalid
+			for op, e := range encTable {
+				if e.opcode == opcOp && e.funct3 == funct3 && e.funct7 == funct7 {
+					want = op
+				}
+			}
+			got, ok := TryDecode(word)
+			if want == OpInvalid {
+				if ok {
+					t.Errorf("TryDecode(%#08x) = %v, want rejection", word, got)
+				}
+				continue
+			}
+			valid++
+			if !ok || got != (Inst{Op: want, Rd: rd, Rs1: rs1, Rs2: rs2}) {
+				t.Errorf("TryDecode(%#08x) = %v, %v; want %v", word, got, ok, want)
+			}
+		}
+	}
+	if valid != 18 {
+		t.Errorf("%d OP words decoded, want the 18 RV32IM R-type mnemonics", valid)
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	bad := []uint32{
 		0x00000000,           // all zeros: illegal
