@@ -10,12 +10,15 @@ package emsim
 // is asserted by the test suites under internal/.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"emsim/internal/core"
+	"emsim/internal/defend"
 	"emsim/internal/experiments"
 	"emsim/internal/leakage"
 	"emsim/internal/stats"
@@ -575,6 +578,39 @@ func BenchmarkAttackSweep(b *testing.B) {
 				}
 			}
 			reportTracesPerSec(b, n)
+		})
+	}
+}
+
+// BenchmarkCampaign measures the whole security campaign users wait
+// for: a fixed small shuffle defend.Evaluate (TVLA 2×16 + CPA 64 traces
+// per arm, both arms), at one simulation worker and at GOMAXPROCS. It
+// reports campaign traces/s end to end (simulation, noise and
+// analytics) and allocs/op.
+func BenchmarkCampaign(b *testing.B) {
+	env := benchEnvironment(b)
+	spec, err := defend.ParseSpec("shuffle")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := defend.Options{
+		Model: env.Model, Defense: spec, Seed: 1,
+		TVLATraces: 16, CPATraces: 64, CPAStep: 16,
+	}
+	perCampaign := 2 * (opts.CPATraces + 2*opts.TVLATraces)
+	for _, w := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=max", runtime.GOMAXPROCS(0)}} {
+		b.Run(w.name, func(b *testing.B) {
+			opts.Workers = w.workers
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := defend.Evaluate(context.Background(), opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportTracesPerSec(b, perCampaign)
 		})
 	}
 }

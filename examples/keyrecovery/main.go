@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -92,24 +93,22 @@ func main() {
 	}
 
 	// Attack phase: for each candidate key, simulate each trace's gadget
-	// and accumulate the squared amplitude distance. The 256×nTraces
-	// template simulations all stream through one Session with a recycled
-	// signal buffer — this loop is exactly the campaign shape the
-	// streaming pipeline exists for.
+	// and accumulate the squared amplitude distance. The templates are
+	// noiseless, so they need no rendering and re-extraction: the
+	// 256×nTraces simulations stream through one Session straight into a
+	// recycled per-cycle amplitude buffer — exactly the campaign shape
+	// the streaming pipeline exists for.
 	fmt.Println("matching against simulated templates for all 256 candidates...")
 	sess, err := emsim.NewSession(model, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	scores := make([]float64, 256)
-	var sig []float64
+	var pred []float64
 	for g := 0; g < 256; g++ {
 		for _, cp := range caps {
-			sig, err = sess.SimulateProgramInto(sig, gadget(cp.pt, byte(g)))
-			if err != nil {
-				log.Fatal(err)
-			}
-			pred, err := core.ExtractAmplitudes(sig, spc, model.Kernel)
+			pred, err = sess.AmplitudesInto(ctx, pred, gadget(cp.pt, byte(g)))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"emsim/internal/signal"
 )
@@ -124,13 +125,46 @@ func FitKernel(steady []float64, samplesPerCycle int, kind signal.KernelKind) (s
 	return best, bestScore, nil
 }
 
+// deconv is the cycle-by-cycle deconvolution geometry of a kernel at
+// one analog rate, shared by ExtractAmplitudes and ExtractedNoise: the
+// kernel's first-cycle taps (head), its energy, and the part of each
+// later cycle's taps (tails[b-1] for a pulse b cycles back) that reaches
+// into the current cycle window.
+type deconv struct {
+	head   []float64
+	energy float64
+	tails  [][]float64
+}
+
+func newDeconv(samplesPerCycle int, k signal.Kernel) (deconv, error) {
+	taps, err := k.Taps(samplesPerCycle)
+	if err != nil {
+		return deconv{}, err
+	}
+	d := deconv{head: taps[:samplesPerCycle]}
+	for _, t := range d.head {
+		d.energy += t * t
+	}
+	if d.energy == 0 {
+		return deconv{}, fmt.Errorf("core: kernel head has no energy")
+	}
+	for back := 1; back*samplesPerCycle < len(taps); back++ {
+		tail := taps[back*samplesPerCycle:]
+		if len(tail) > samplesPerCycle {
+			tail = tail[:samplesPerCycle]
+		}
+		d.tails = append(d.tails, tail)
+	}
+	return d, nil
+}
+
 // ExtractAmplitudes deconvolves a measured analog signal into per-cycle
 // amplitudes x̂[n] given the reconstruction kernel: each cycle window is
 // matched-filtered against the kernel's first-cycle taps after
 // subtracting the predicted tails of the preceding cycles. This inverts
 // Equ. 6 greedily, cycle by cycle.
 func ExtractAmplitudes(y []float64, samplesPerCycle int, k signal.Kernel) ([]float64, error) {
-	taps, err := k.Taps(samplesPerCycle)
+	d, err := newDeconv(samplesPerCycle, k)
 	if err != nil {
 		return nil, err
 	}
@@ -138,40 +172,107 @@ func ExtractAmplitudes(y []float64, samplesPerCycle int, k signal.Kernel) ([]flo
 	if cycles == 0 {
 		return nil, fmt.Errorf("core: signal shorter than one cycle")
 	}
-	head := taps[:samplesPerCycle]
-	headEnergy := 0.0
-	for _, t := range head {
-		headEnergy += t * t
-	}
-	if headEnergy == 0 {
-		return nil, fmt.Errorf("core: kernel head has no energy")
-	}
 	out := make([]float64, cycles)
 	buf := make([]float64, samplesPerCycle)
 	for n := 0; n < cycles; n++ {
 		copy(buf, y[n*samplesPerCycle:(n+1)*samplesPerCycle])
 		// Subtract tails of earlier cycles that reach into this window.
-		for back := 1; back*samplesPerCycle < len(taps); back++ {
-			j := n - back
+		for back, tail := range d.tails {
+			j := n - 1 - back
 			if j < 0 {
 				break
 			}
-			tail := taps[back*samplesPerCycle:]
-			lim := samplesPerCycle
-			if lim > len(tail) {
-				lim = len(tail)
-			}
-			for i := 0; i < lim; i++ {
-				buf[i] -= out[j] * tail[i]
+			for i, t := range tail {
+				buf[i] -= out[j] * t
 			}
 		}
 		dot := 0.0
-		for i, t := range head {
+		for i, t := range d.head {
 			dot += buf[i] * t
 		}
-		out[n] = dot / headEnergy
+		out[n] = dot / d.energy
 	}
 	return out, nil
+}
+
+// ExtractedNoise draws, cycle by cycle, the amplitude noise that
+// ExtractAmplitudes recovers from white Gaussian analog noise. Extraction
+// is linear, so extracting a noisy rendered signal yields the noiseless
+// amplitudes plus the extraction of the noise alone:
+//
+//	e[n] = (w[n] − Σ_b g_b·e[n−b]) / H
+//
+// where H is the head energy, g_b = ⟨tail_b, head⟩, and w[n] is noise
+// window n projected on the head. The windows are disjoint, so for
+// analog noise of standard deviation σ the w[n] are independent
+// N(0, σ²H): one normal per cycle reproduces the distribution exactly,
+// instead of one per analog sample plus a deconvolution.
+//
+// An ExtractedNoise is not safe for concurrent use.
+type ExtractedNoise struct {
+	energy float64   // H
+	fb     []float64 // g_b/H for b = 1, 2, ...
+	hist   []float64 // e[n−1], e[n−2], ... of the current series
+}
+
+// NewExtractedNoise builds the noise recursion for a kernel at the given
+// analog rate (the same geometry ExtractAmplitudes deconvolves with).
+func NewExtractedNoise(samplesPerCycle int, k signal.Kernel) (*ExtractedNoise, error) {
+	d, err := newDeconv(samplesPerCycle, k)
+	if err != nil {
+		return nil, err
+	}
+	f := &ExtractedNoise{
+		energy: d.energy,
+		fb:     make([]float64, len(d.tails)),
+		hist:   make([]float64, len(d.tails)),
+	}
+	for b, tail := range d.tails {
+		g := 0.0
+		for i, t := range tail {
+			g += t * d.head[i]
+		}
+		f.fb[b] = g / d.energy
+	}
+	return f, nil
+}
+
+// reset starts a new series: no earlier cycle contributes.
+//
+//emsim:noalloc
+func (f *ExtractedNoise) reset() {
+	for b := range f.hist {
+		f.hist[b] = 0
+	}
+}
+
+// step turns the next cycle's head projection w into its extracted
+// noise and records it for the following cycles' feedback.
+//
+//emsim:noalloc
+func (f *ExtractedNoise) step(w float64) float64 {
+	e := w / f.energy
+	for b, g := range f.fb {
+		e -= g * f.hist[b]
+	}
+	for b := len(f.hist) - 1; b > 0; b-- {
+		f.hist[b] = f.hist[b-1]
+	}
+	if len(f.hist) > 0 {
+		f.hist[0] = e
+	}
+	return e
+}
+
+// AddTo adds to amp the amplitude noise ExtractAmplitudes would recover
+// from analog noise of standard deviation std per sample, drawing one
+// normal per cycle from rng. It allocates nothing.
+func (f *ExtractedNoise) AddTo(amp []float64, std float64, rng *rand.Rand) {
+	f.reset()
+	s := std * math.Sqrt(f.energy) // the spread of a head projection
+	for n := range amp {
+		amp[n] += f.step(s * rng.NormFloat64())
+	}
 }
 
 // steadyRegion selects the central portion of an all-NOP capture for

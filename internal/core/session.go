@@ -42,18 +42,25 @@ type Session struct {
 }
 
 // ampSink streams cycles from the core into the amplitude model and on
-// into the reconstructor. It lives inside the Session so converting it to
-// a cpu.CycleSink never allocates. When a tee is attached it sees every
-// cycle after the amplitude model consumed it.
+// into the reconstructor, or, while rec is nil, into the amps series. It
+// lives inside the Session so converting it to a cpu.CycleSink never
+// allocates. When a tee is attached it sees every cycle after the
+// amplitude model consumed it.
 type ampSink struct {
-	m   *Model
-	rec *signal.Reconstructor
-	tee cpu.CycleSink
+	m    *Model
+	rec  *signal.Reconstructor
+	amps []float64
+	tee  cpu.CycleSink
 }
 
 //emsim:noalloc
 func (a *ampSink) Cycle(c *cpu.Cycle) error {
-	a.rec.Add(a.m.CycleAmplitude(c))
+	x := a.m.CycleAmplitude(c)
+	if a.rec != nil {
+		a.rec.Add(x)
+	} else {
+		a.amps = append(a.amps, x)
+	}
 	if a.tee != nil {
 		//emsim:ignore noalloc dynamic dispatch by design; tee observers on the hot path must themselves be allocation-free
 		return a.tee.Cycle(c)
@@ -128,16 +135,45 @@ func (s *Session) SimulateProgramInto(dst []float64, words []uint32) ([]float64,
 //
 //emsim:noalloc
 func (s *Session) SimulateProgramIntoContext(ctx context.Context, dst []float64, words []uint32) ([]float64, error) {
-	obs.Begin(spanSimulate, s.lane)
 	s.rec.Start(dst)
-	if err := s.core.RunProgramToContext(ctx, words, &s.sink); err != nil {
-		obs.End(spanSimulate, s.lane)
-		//emsim:ignore noalloc cold failure path: the simulation already aborted
-		return nil, fmt.Errorf("core: simulate: %w", err)
+	if err := s.run(ctx, words); err != nil {
+		return nil, err
 	}
-	sig := s.rec.Finish()
+	return s.rec.Finish(), nil
+}
+
+// AmplitudesInto runs the program like SimulateProgramIntoContext but
+// stops at the amplitude model: it returns the per-cycle amplitude
+// series (Model.Amplitudes of the run's trace) instead of rendering it,
+// written into dst's backing array, which is grown only when needed.
+// Campaigns whose analyses work on per-cycle amplitudes use this to skip
+// rendering and extraction; see ExtractedNoise for their measurement
+// noise.
+//
+//emsim:noalloc
+func (s *Session) AmplitudesInto(ctx context.Context, dst []float64, words []uint32) ([]float64, error) {
+	s.sink.rec, s.sink.amps = nil, dst[:0]
+	err := s.run(ctx, words)
+	amps := s.sink.amps
+	s.sink.rec, s.sink.amps = s.rec, nil
+	if err != nil {
+		return nil, err
+	}
+	return amps, nil
+}
+
+// run streams one program's cycles through the session's sink.
+//
+//emsim:noalloc
+func (s *Session) run(ctx context.Context, words []uint32) error {
+	obs.Begin(spanSimulate, s.lane)
+	err := s.core.RunProgramToContext(ctx, words, &s.sink)
 	obs.End(spanSimulate, s.lane)
-	return sig, nil
+	if err != nil {
+		//emsim:ignore noalloc cold failure path: the simulation already aborted
+		return fmt.Errorf("core: simulate: %w", err)
+	}
+	return nil
 }
 
 // SimulateProgram runs the program and returns its predicted analog

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -96,6 +97,73 @@ func TestSessionSimulateIntoSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state SimulateProgramInto allocates %.1f times per trace, want 0", allocs)
+	}
+}
+
+// TestSessionAmplitudesMatchModel pins the amplitude path: the series
+// AmplitudesInto returns is bit-equal to Model.Amplitudes of the recorded
+// trace, the tee still sees every cycle, and the session renders signals
+// exactly as before afterwards (the sink switches back).
+func TestSessionAmplitudesMatchModel(t *testing.T) {
+	m, _ := testModel(t)
+	cfg := cpu.DefaultConfig()
+	sess, err := m.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	teed := 0
+	sess.SetTee(cpu.CycleSinkFunc(func(*cpu.Cycle) error { teed++; return nil }))
+	var amps []float64
+	for pass := 0; pass < 2; pass++ {
+		for name, words := range sessionGoldenPrograms(t) {
+			tr, want, err := m.SimulateProgram(cfg, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			teed = 0
+			amps, err = sess.AmplitudesInto(context.Background(), amps, words)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(amps, m.Amplitudes(tr)) {
+				t.Fatalf("pass %d %s: AmplitudesInto differs from Model.Amplitudes", pass, name)
+			}
+			if teed != len(tr) || sess.Cycles() != len(tr) {
+				t.Fatalf("pass %d %s: tee saw %d cycles, session reports %d, trace has %d", pass, name, teed, sess.Cycles(), len(tr))
+			}
+			sig, err := sess.SimulateProgram(words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sig, want) {
+				t.Fatalf("pass %d %s: signal after an amplitude run differs from SimulateProgram", pass, name)
+			}
+		}
+	}
+}
+
+// TestSessionAmplitudesSteadyStateAllocs pins the amplitude path at zero
+// allocations once its destination has grown.
+func TestSessionAmplitudesSteadyStateAllocs(t *testing.T) {
+	m, _ := testModel(t)
+	sess, err := m.NewSession(cpu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := sessionGoldenPrograms(t)["aes"]
+	ctx := context.Background()
+	amps, err := sess.AmplitudesInto(ctx, nil, words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		amps, err = sess.AmplitudesInto(ctx, amps, words)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state AmplitudesInto allocates %.1f times per trace, want 0", allocs)
 	}
 }
 

@@ -2,8 +2,6 @@ package defend
 
 import (
 	"context"
-	"math"
-	"math/rand"
 	"testing"
 
 	"emsim/internal/aes"
@@ -32,8 +30,9 @@ func TestInjectorsDoNotAllocate(t *testing.T) {
 
 // TestDefendedSimulateSteadyStateAllocs pins the steady-state
 // allocation count of a defended trace at zero for every
-// countermeasure: arming reuses scratch, injection is pre-encoded, and
-// the signal buffer is recycled across traces.
+// countermeasure, for both the rendered signal and the amplitude run
+// campaigns use: arming reuses scratch, injection is pre-encoded, and
+// the output buffer is recycled across traces.
 func TestDefendedSimulateSteadyStateAllocs(t *testing.T) {
 	m := defendTestModel(t)
 	prog, err := aes.BuildProgram(DefaultKey, DefaultFixed)
@@ -55,7 +54,7 @@ func TestDefendedSimulateSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf []float64
+			var buf, amps []float64
 			index := int64(0)
 			run := func() {
 				sig, err := s.SimulateTraceInto(ctx, buf, index, prog.Words)
@@ -65,44 +64,24 @@ func TestDefendedSimulateSteadyStateAllocs(t *testing.T) {
 				buf = sig[:0]
 				index++
 			}
-			// Warm up: grow the signal buffer and the countermeasure
+			runAmps := func() {
+				if amps, err = s.AmplitudesInto(ctx, amps, index, prog.Words); err != nil {
+					t.Fatal(err)
+				}
+				index++
+			}
+			// Warm up: grow the output buffers and the countermeasure
 			// scratch to their steady-state capacity.
 			for i := 0; i < 3; i++ {
 				run()
+				runAmps()
 			}
-			allocs := testing.AllocsPerRun(10, run)
-			if allocs > 0 {
+			if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
 				t.Errorf("defended trace allocates %.1f times per run, want 0", allocs)
 			}
-		})
-	}
-}
-
-// TestAddNoiseReseedsWithoutAllocating pins the per-trace noise step:
-// reseeding a worker's generator allocates nothing and reproduces, bit
-// for bit, the stream of a generator freshly built from the same seed.
-func TestAddNoiseReseedsWithoutAllocating(t *testing.T) {
-	const seed, std = 7, 0.3
-	rng := rand.New(rand.NewSource(0))
-	sig := make([]float64, 64)
-	for i := 0; i < 4; i++ {
-		for k := range sig {
-			sig[k] = float64(k)
-		}
-		addNoise(rng, sig, std, seed, i)
-		fresh := rand.New(rand.NewSource(int64(stream(seed, laneNoise, int64(i)))))
-		for k := range sig {
-			if want := float64(k) + std*fresh.NormFloat64(); math.Float64bits(sig[k]) != math.Float64bits(want) {
-				t.Fatalf("trace %d sample %d: %v, want %v", i, k, sig[k], want)
+			if allocs := testing.AllocsPerRun(10, runAmps); allocs > 0 {
+				t.Errorf("defended amplitude trace allocates %.1f times per run, want 0", allocs)
 			}
-		}
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		addNoise(rng, sig, std, seed, i)
-		i++
-	})
-	if allocs > 0 {
-		t.Errorf("addNoise allocates %.1f times per run, want 0", allocs)
+		})
 	}
 }

@@ -2,6 +2,8 @@ package defend
 
 import (
 	"context"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -195,6 +197,77 @@ func TestSessionBaselineMatchesCore(t *testing.T) {
 	}
 }
 
+// TestSessionAmplitudesMatchModel pins the defended amplitude path: for
+// the baseline and for armed countermeasures it is bit-equal to
+// Model.Amplitudes of the trace recorded on a separate core running the
+// same armed image and injector, and it agrees with extracting the
+// rendered SimulateTraceInto signal up to rounding.
+func TestSessionAmplitudesMatchModel(t *testing.T) {
+	m := defendTestModel(t)
+	cfg := cpu.DefaultConfig()
+	ctx := context.Background()
+	const seed = 13
+	for _, name := range []string{"", "shuffle", "dummy"} {
+		var cm, ref Countermeasure
+		if name != "" {
+			var err error
+			if cm, err = mustSpec(t, name).New(); err != nil {
+				t.Fatal(err)
+			}
+			if ref, err = mustSpec(t, name).New(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := NewSession(m, cfg, cm, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cpu.MustNew(cfg)
+		var amps []float64
+		for i := int64(0); i < 4; i++ {
+			pt := seededPlaintext(uint64(i))
+			prog, err := aes.BuildProgram(DefaultKey, pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			amps, err = s.AmplitudesInto(ctx, amps, i, prog.Words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := prog.Words
+			c.SetFetchInjector(nil)
+			if ref != nil {
+				armed, err := ref.Arm(prog.Words, stream(seed, laneArm, i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				run = armed.Words
+				c.SetFetchInjector(armed.Injector)
+			}
+			tr, err := c.RunProgram(run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(amps, m.Amplitudes(tr)) {
+				t.Fatalf("arm %q trace %d: AmplitudesInto differs from Model.Amplitudes of the recorded trace", name, i)
+			}
+			sig, err := s.SimulateTraceInto(ctx, nil, i, prog.Words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := core.ExtractAmplitudes(sig, m.SamplesPerCycle, m.Kernel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := range amps {
+				if math.Abs(back[n]-amps[n]) > 1e-9 {
+					t.Fatalf("arm %q trace %d cycle %d: amplitude %v, extracted from the signal %v", name, i, n, amps[n], back[n])
+				}
+			}
+		}
+	}
+}
+
 func TestSessionStreamIndexing(t *testing.T) {
 	m := defendTestModel(t)
 	cm, err := NewDummy(0.2)
@@ -281,5 +354,37 @@ func TestEvaluateValidation(t *testing.T) {
 	}
 	if _, err := Evaluate(ctx, Options{Model: m, Defense: Spec{Name: "shuffle"}, TVLATraces: 2}); err == nil {
 		t.Error("tiny TVLA budget not rejected")
+	}
+}
+
+// TestNoiseStdValidation pins the NoiseStd boundary: zero selects the
+// default, and only a finite positive sigma is accepted. NaN and +Inf
+// used to pass and yield a report with no detection.
+func TestNoiseStdValidation(t *testing.T) {
+	m := defendTestModel(t)
+	cases := []struct {
+		std  float64
+		want float64 // 0: rejected
+	}{
+		{0, 0.02},
+		{1e-3, 1e-3},
+		{5, 5},
+		{-1, 0},
+		{math.Copysign(0, -1), 0.02},
+		{math.NaN(), 0},
+		{math.Inf(1), 0},
+		{math.Inf(-1), 0},
+	}
+	for _, tc := range cases {
+		o, err := Options{Model: m, Defense: Spec{Name: "shuffle"}, NoiseStd: tc.std}.withDefaults()
+		if tc.want == 0 {
+			if err == nil || !strings.Contains(err.Error(), "NoiseStd") {
+				t.Errorf("NoiseStd %v: err %v, want a NoiseStd error", tc.std, err)
+			}
+			continue
+		}
+		if err != nil || o.NoiseStd != tc.want {
+			t.Errorf("NoiseStd %v: got %v, %v; want %v", tc.std, o.NoiseStd, err, tc.want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package defend
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -68,9 +69,13 @@ type Options struct {
 	CPAStep    int // key-rank curve grid step (default 64, min 4)
 	CPAPoints  int // top-variance points-of-interest columns (0 = attack every column)
 
-	// NoiseStd is the additive measurement-noise sigma applied to every
-	// simulated signal (default 0.02). It must be positive: a noiseless
-	// fixed TVLA group has zero variance and an infinite t statistic.
+	// NoiseStd is the additive measurement-noise sigma per analog sample
+	// (default 0.02). The attacks see per-cycle amplitudes, so it is
+	// applied exactly through its extracted-amplitude equivalent
+	// (core.ExtractedNoise) instead of to a rendered signal. It must be
+	// positive and finite: a noiseless fixed TVLA group has zero variance
+	// and an infinite t statistic, and NaN or infinite noise leaves no
+	// statistic at all.
 	NoiseStd float64
 
 	// Progress, when non-nil, is called after each simulated trace of an
@@ -124,8 +129,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.NoiseStd == 0 {
 		o.NoiseStd = 0.02
 	}
-	if o.NoiseStd <= 0 {
-		return o, fmt.Errorf("defend: NoiseStd %g; need > 0 (a noiseless fixed group has infinite t)", o.NoiseStd)
+	if !(o.NoiseStd > 0) || math.IsInf(o.NoiseStd, 1) {
+		return o, fmt.Errorf("defend: NoiseStd %g; need finite > 0 (a noiseless fixed group has infinite t)", o.NoiseStd)
 	}
 	return o, nil
 }
@@ -225,14 +230,18 @@ func Evaluate(ctx context.Context, opts Options) (*SecurityReport, error) {
 	lane := obs.NextLane()
 	obs.Begin(spanEvaluate, lane)
 	defer obs.End(spanEvaluate, lane)
+	w, err := buildWorkload(opts)
+	if err != nil {
+		return nil, err
+	}
 	obs.Begin(spanArm, lane)
-	base, err := evaluateArm(ctx, opts, "baseline", Spec{})
+	base, err := evaluateArm(ctx, opts, w, "baseline", Spec{})
 	obs.End(spanArm, lane)
 	if err != nil {
 		return nil, err
 	}
 	obs.Begin(spanArm, lane)
-	def, err := evaluateArm(ctx, opts, opts.Defense.String(), opts.Defense)
+	def, err := evaluateArm(ctx, opts, w, opts.Defense.String(), opts.Defense)
 	obs.End(spanArm, lane)
 	if err != nil {
 		return nil, err
@@ -261,6 +270,55 @@ func Evaluate(ctx context.Context, opts Options) (*SecurityReport, error) {
 	return r, nil
 }
 
+// workload is one campaign's AES programs. Both arms run the same
+// programs, so Evaluate builds them once.
+type workload struct {
+	cpa   [][]uint32 // CPA traces, plaintexts from lanePlain
+	cpaPt []byte     // first plaintext byte of each CPA trace
+	tvla  [][]uint32 // TVLA traces: fixed at even, random at odd indices
+}
+
+// buildWorkload builds the CPA and TVLA programs of a campaign.
+func buildWorkload(opts Options) (*workload, error) {
+	w := &workload{
+		cpa:   make([][]uint32, opts.CPATraces),
+		cpaPt: make([]byte, opts.CPATraces),
+		tvla:  make([][]uint32, 2*opts.TVLATraces),
+	}
+	for i := range w.cpa {
+		pt := seededPlaintext(stream(opts.Seed, lanePlain, int64(i)))
+		prog, err := aes.BuildProgram(opts.Key, pt)
+		if err != nil {
+			return nil, fmt.Errorf("defend: build CPA program %d: %w", i, err)
+		}
+		w.cpa[i] = prog.Words
+		w.cpaPt[i] = pt[0]
+	}
+	fixedProg, err := aes.BuildProgram(opts.Key, opts.Fixed)
+	if err != nil {
+		return nil, fmt.Errorf("defend: build TVLA fixed program: %w", err)
+	}
+	for j := 0; j < opts.TVLATraces; j++ {
+		w.tvla[2*j] = fixedProg.Words
+		prog, err := aes.BuildProgram(opts.Key, seededPlaintext(stream(opts.Seed, laneTVLA, int64(j))))
+		if err != nil {
+			return nil, fmt.Errorf("defend: build TVLA program %d: %w", j, err)
+		}
+		w.tvla[2*j+1] = prog.Words
+	}
+	return w, nil
+}
+
+// seededPlaintext draws a plaintext from the generator seeded with seed.
+func seededPlaintext(seed uint64) [16]byte {
+	var pt [16]byte
+	rng := rand.New(rand.NewSource(int64(seed)))
+	for b := range pt {
+		pt[b] = byte(rng.Intn(256))
+	}
+	return pt
+}
+
 // evaluateArm runs one arm's full campaign as a single pass: every
 // simulated trace flows straight from the worker reduction into the
 // streaming accumulators (leakage.CPAStream / leakage.TVLAStream) and
@@ -272,7 +330,7 @@ func Evaluate(ctx context.Context, opts Options) (*SecurityReport, error) {
 // accumulators strictly in trace-index order.
 //
 //emsim:ordered
-func evaluateArm(ctx context.Context, opts Options, name string, spec Spec) (*ArmResult, error) {
+func evaluateArm(ctx context.Context, opts Options, w *workload, name string, spec Spec) (*ArmResult, error) {
 	res := &ArmResult{Name: name}
 	total := opts.CPATraces + 2*opts.TVLATraces
 	var done atomic.Int64
@@ -285,21 +343,6 @@ func evaluateArm(ctx context.Context, opts Options, name string, spec Spec) (*Ar
 	lane := obs.NextLane() // analysis snapshots
 
 	// ---- CPA: key-rank curve, one pass ----
-	progs := make([][]uint32, opts.CPATraces)
-	ptByte := make([]byte, opts.CPATraces)
-	for i := range progs {
-		var pt [16]byte
-		rng := rand.New(rand.NewSource(int64(stream(opts.Seed, lanePlain, int64(i)))))
-		for b := range pt {
-			pt[b] = byte(rng.Intn(256))
-		}
-		prog, err := aes.BuildProgram(opts.Key, pt)
-		if err != nil {
-			return nil, fmt.Errorf("defend: build CPA program %d: %w", i, err)
-		}
-		progs[i] = prog.Words
-		ptByte[i] = pt[0]
-	}
 	trueGuess := int(opts.Key[0])
 	// With CPAPoints > 0 the stream reduces every trace to the
 	// highest-variance columns of its first CPAStep traces (the pilot) —
@@ -309,10 +352,10 @@ func evaluateArm(ctx context.Context, opts Options, name string, spec Spec) (*Ar
 	hypRow := make([]float64, 256)
 	var sumCycles, sumInjected float64
 	cpaSeed := int64(stream(opts.Seed, lanePart, 1))
-	err := streamTraces(ctx, opts, spec, cpaSeed, progs, report, func(i int, amp []float64, cycles, injected int) error {
+	err := streamTraces(ctx, opts, spec, cpaSeed, w.cpa, report, func(i int, amp []float64, cycles, injected int) error {
 		sumCycles += float64(cycles)
 		sumInjected += float64(injected)
-		cpaHypothesisRow(ptByte[i], hypRow)
+		cpaHypothesisRow(w.cpaPt[i], hypRow)
 		if aerr := cpa.Add(amp, hypRow); aerr != nil {
 			return fmt.Errorf("defend: %s: CPA trace %d: %w", name, i, aerr)
 		}
@@ -340,29 +383,11 @@ func evaluateArm(ctx context.Context, opts Options, name string, spec Spec) (*Ar
 	}
 
 	// ---- TVLA: fixed vs random detection sweep, one pass ----
-	fixedProg, err := aes.BuildProgram(opts.Key, opts.Fixed)
-	if err != nil {
-		return nil, fmt.Errorf("defend: build TVLA fixed program: %w", err)
-	}
-	tprogs := make([][]uint32, 2*opts.TVLATraces)
-	for j := 0; j < opts.TVLATraces; j++ {
-		tprogs[2*j] = fixedProg.Words
-		var pt [16]byte
-		rng := rand.New(rand.NewSource(int64(stream(opts.Seed, laneTVLA, int64(j)))))
-		for b := range pt {
-			pt[b] = byte(rng.Intn(256))
-		}
-		prog, err := aes.BuildProgram(opts.Key, pt)
-		if err != nil {
-			return nil, fmt.Errorf("defend: build TVLA program %d: %w", j, err)
-		}
-		tprogs[2*j+1] = prog.Words
-	}
 	tv := leakage.NewTVLAStream()
 	sweep := sweepSizes(opts.TVLATraces)
 	nextSweep := 0
 	tvlaSeed := int64(stream(opts.Seed, lanePart, 2))
-	err = streamTraces(ctx, opts, spec, tvlaSeed, tprogs, report, func(i int, amp []float64, _, _ int) error {
+	err = streamTraces(ctx, opts, spec, tvlaSeed, w.tvla, report, func(i int, amp []float64, _, _ int) error {
 		if i%2 == 0 {
 			return tv.AddFixed(amp)
 		}
@@ -424,22 +449,10 @@ func cpaHypothesisRow(pt byte, row []float64) {
 	}
 }
 
-// addNoise adds trace i's measurement noise to sig: std times the
-// normal stream seeded with stream(seed, laneNoise, i). Reseeding the
-// worker's one generator yields exactly the stream a fresh
-// rand.New(rand.NewSource(...)) would, without allocating a ~5 KB
-// source per trace.
-func addNoise(rng *rand.Rand, sig []float64, std float64, seed int64, i int) {
-	rng.Seed(int64(stream(seed, laneNoise, int64(i))))
-	for k := range sig {
-		sig[k] += std * rng.NormFloat64()
-	}
-}
-
 // traceOut is one simulated trace crossing from a worker to the
-// consumer: the amplitude vector (noise added, owned by the receiver)
-// plus the run's cycle and injected-slot counts, or the simulation
-// error for that index.
+// consumer: the per-cycle amplitude vector (noise added, owned by the
+// receiver) plus the run's cycle and injected-slot counts, or the
+// simulation error for that index.
 type traceOut struct {
 	amp      []float64
 	cycles   int
@@ -496,28 +509,31 @@ func streamTraces(ctx context.Context, opts Options, spec Spec, seed int64, prog
 				out <- traceOut{err: serr}
 				return
 			}
+			noise, nerr := core.NewExtractedNoise(opts.Model.SamplesPerCycle, opts.Model.Kernel)
+			if nerr != nil {
+				out <- traceOut{err: nerr}
+				return
+			}
 			traceLane := obs.NextLane()
-			var buf []float64
-			noise := rand.New(rand.NewSource(0))
+			rng := rand.New(rand.NewSource(0))
+			size := 0 // previous trace's length: the next one's capacity
 			for i := w; i < n; i += workers {
 				if runCtx.Err() != nil {
 					return
 				}
 				obs.Begin(spanTrace, traceLane)
-				sig, rerr := sess.SimulateTraceInto(runCtx, buf, int64(i), progs[i])
+				amp, rerr := sess.AmplitudesInto(runCtx, make([]float64, 0, size), int64(i), progs[i])
 				if rerr != nil {
 					obs.End(spanTrace, traceLane)
 					out <- traceOut{err: rerr}
 					continue
 				}
-				addNoise(noise, sig, opts.NoiseStd, seed, i)
-				amp, aerr := core.ExtractAmplitudes(sig, opts.Model.SamplesPerCycle, opts.Model.Kernel)
-				buf = sig[:0]
+				// Reseeding the worker's one generator gives trace i the
+				// stream a fresh generator would, without allocating one.
+				rng.Seed(int64(stream(seed, laneNoise, int64(i))))
+				noise.AddTo(amp, opts.NoiseStd, rng)
+				size = len(amp)
 				obs.End(spanTrace, traceLane)
-				if aerr != nil {
-					out <- traceOut{err: aerr}
-					continue
-				}
 				out <- traceOut{amp: amp, cycles: sess.Cycles(), injected: sess.Stats().Injected}
 				// report is concurrency-safe (atomic counter, callback
 				// contract allows concurrent out-of-order calls).

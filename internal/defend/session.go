@@ -55,18 +55,47 @@ func (s *Session) Stats() cpu.Stats { return s.sess.Stats() }
 // per-trace randomization: the same (session seed, index, words) triple
 // always produces the same signal, whichever worker runs it.
 func (s *Session) SimulateTraceInto(ctx context.Context, dst []float64, index int64, words []uint32) ([]float64, error) {
-	run := words
-	if s.cm != nil {
-		armed, err := s.cm.Arm(words, stream(s.seed, laneArm, index))
-		if err != nil {
-			return nil, fmt.Errorf("defend: arm %s: %w", s.cm.Name(), err)
-		}
-		run = armed.Words
-		core := s.sess.CPU()
-		core.SetFetchInjector(armed.Injector)
-		defer core.SetFetchInjector(nil)
+	run, err := s.arm(index, words)
+	if err != nil {
+		return nil, err
 	}
+	defer s.disarm()
 	return s.sess.SimulateProgramIntoContext(ctx, dst, run)
+}
+
+// AmplitudesInto runs the same defended trace as SimulateTraceInto but
+// returns its per-cycle amplitude series (core.Session.AmplitudesInto)
+// instead of the rendered signal.
+func (s *Session) AmplitudesInto(ctx context.Context, dst []float64, index int64, words []uint32) ([]float64, error) {
+	run, err := s.arm(index, words)
+	if err != nil {
+		return nil, err
+	}
+	defer s.disarm()
+	return s.sess.AmplitudesInto(ctx, dst, run)
+}
+
+// arm prepares trace index of the program: it arms the countermeasure
+// with the trace's stream seed, installs the resulting fetch injector,
+// and returns the image to run. Every arm is followed by disarm once the
+// run is over.
+func (s *Session) arm(index int64, words []uint32) ([]uint32, error) {
+	if s.cm == nil {
+		return words, nil
+	}
+	armed, err := s.cm.Arm(words, stream(s.seed, laneArm, index))
+	if err != nil {
+		return nil, fmt.Errorf("defend: arm %s: %w", s.cm.Name(), err)
+	}
+	s.sess.CPU().SetFetchInjector(armed.Injector)
+	return armed.Words, nil
+}
+
+// disarm removes the fetch injector arm installed.
+func (s *Session) disarm() {
+	if s.cm != nil {
+		s.sess.CPU().SetFetchInjector(nil)
+	}
 }
 
 // SimulateProgram implements leakage.Simulator: each call simulates one

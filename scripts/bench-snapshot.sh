@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# bench-snapshot.sh runs the attack-sweep analytics ladder and the
-# simulation-throughput benchmark once each (-benchtime=1x: a smoke-grade
-# snapshot, not a statistically stable measurement) and distills the
+# bench-snapshot.sh runs the attack-sweep analytics ladder, the
+# end-to-end security campaign and the simulation-throughput benchmark
+# once each (-benchtime=1x: a smoke-grade snapshot, not a statistically
+# stable measurement) and distills the
 # rungs into BENCH_attack.json — one record per benchmark with ns/op,
 # B/op, allocs/op and the traces/s (or cycles/s) custom metric — so CI
 # can archive a comparable perf artifact per commit.
@@ -13,7 +14,7 @@ RAW="$OUT_DIR/bench-raw.txt"
 JSON="$OUT_DIR/BENCH_attack.json"
 
 echo "== benchmarks (1 iteration each)"
-go test -run '^$' -bench 'BenchmarkAttackSweep|BenchmarkSimulationThroughput' \
+go test -run '^$' -bench 'BenchmarkAttackSweep|BenchmarkCampaign|BenchmarkSimulationThroughput' \
   -benchtime=1x -benchmem . | tee "$RAW"
 
 echo "== distill to $JSON"
@@ -42,7 +43,8 @@ END { print "\n]" }
 
 # The snapshot must have produced every ladder rung; an empty or partial
 # distillation means the benchmark names drifted from this script.
-for want in 'buffered/traces=4096' 'streaming/traces=4096' 'SimulationThroughput'; do
+for want in 'buffered/traces=4096' 'streaming/traces=4096' 'Campaign/workers=1' \
+            'Campaign/workers=max' 'SimulationThroughput'; do
   grep -q "$want" "$JSON" || {
     echo "BENCH_attack.json missing $want" >&2; cat "$JSON" >&2; exit 1; }
 done

@@ -50,4 +50,13 @@ if cmp -s "$TMP/run1.json" "$TMP/run4.json"; then
   echo "seed 9 and seed 10 produced identical reports" >&2; exit 1
 fi
 
+echo "== a non-finite noise sigma must be rejected"
+for bad in NaN +Inf; do
+  if "$BIN" "${COMMON[@]}" -workers 1 -noise "$bad" >"$TMP/bad.json" 2>"$TMP/bad.err"; then
+    echo "-noise $bad was accepted" >&2; cat "$TMP/bad.json" >&2; exit 1
+  fi
+  grep -q NoiseStd "$TMP/bad.err" || {
+    echo "-noise $bad failed without naming NoiseStd" >&2; cat "$TMP/bad.err" >&2; exit 1; }
+done
+
 echo "ok"
